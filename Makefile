@@ -65,10 +65,14 @@ metrics-lint:
 # token-ring handoff contention, workers constantly preempting each
 # other) and wide (GOMAXPROCS=8 — every per-core worker goroutine truly
 # parallel). `race` already covers the test at the default width; these
-# two pins keep both extremes exercised.
+# two pins keep both extremes exercised. The last line runs independent
+# hybrid and virt-hybrid systems through AccessBatch at once, as the
+# experiments runner and hvcd workers do, so state shared between
+# simulations shows up as a race.
 sim-race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run TestParallelRunMatchesSerial ./internal/sim
 	GOMAXPROCS=8 $(GO) test -race -count=1 -run TestParallelRunMatchesSerial ./internal/sim
+	$(GO) test -race -count=1 -run TestConcurrentAccessBatch .
 
 # staticcheck/govulncheck run when the tools are installed and skip with a
 # notice otherwise — the build environment is intentionally hermetic (no

@@ -167,6 +167,10 @@ func (o *OVC) backInvalidate(n addr.Name) {
 // virtual L1 with no up-front translation at all; synonym candidates
 // translate first and run the physical L1.
 func (o *OVC) Route(req *core.Request, res *core.Result) pipeline.Decision {
+	// The cache stage translates on virtual L1 misses through the same
+	// TLB this route uses, so no reference may route ahead of an earlier
+	// one's dispatch.
+	o.Sync()
 	candidate := req.Proc.Filter.IsCandidate(req.VA)
 	if p := o.Probe(); p != nil {
 		p.Filter(pipeline.FilterEvent{Core: req.Core, Candidate: candidate})

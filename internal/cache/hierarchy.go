@@ -136,7 +136,7 @@ func (h *Hierarchy) Access(core int, kind AccessKind, n addr.Name, perm addr.Per
 // AccessScratch is Access with the Writebacks slice backed by a
 // hierarchy-owned buffer, so steady-state accesses allocate nothing. The
 // returned Writebacks alias that buffer: the caller must consume them
-// before the next AccessScratch (or PhysAccess in scratch mode) call.
+// before the next AccessScratch call (pipeline.Base.PhysAccess included).
 func (h *Hierarchy) AccessScratch(core int, kind AccessKind, n addr.Name, perm addr.Perm) AccessResult {
 	res := h.access(core, kind, n, perm, h.wbScratch[:0])
 	h.wbScratch = res.Writebacks

@@ -119,38 +119,27 @@ func (k permKey) asid() addr.ASID {
 	return addr.ASID(k >> (addr.VABits - addr.PageBits))
 }
 
-// HybridMMU is the hybrid virtual caching memory system. It is wired as
-// pipeline stages: HybridMMU itself is the FrontEnd (synonym filter,
-// synonym TLB path, permission faults) and the Backend (delayed
-// translation, writeback translation) around the shared engine.
+// HybridMMU is the hybrid virtual caching memory system: the shared
+// SynonymFront with the Bloom synonym filter as its classifier and 1D
+// page walks filling the synonym TLB, plus the delayed translation
+// (delayed TLB or many-segment translator) as the pipeline Backend.
 type HybridMMU struct {
-	*pipeline.Engine
+	*SynonymFront
 	cfg    HybridConfig
 	kernel *osmodel.Kernel
-
-	synTLB []*tlb.TLB
 
 	// Page-granularity delayed translation.
 	delayedTLB *tlb.TLB
 	// Segment-based delayed translation.
 	translator *segment.Translator
 
-	// shadowPerm caches translation permissions for cache fills
-	// (simulator bookkeeping, not hardware state).
-	shadowPerm *permTable
-
 	// fpWindow tracks per-ASID (accesses, false positives) for the
 	// adaptive filter rebuild policy.
 	fpWindow map[addr.ASID]*fpStats
 
 	// Statistics.
-	SynonymCandidates   stats.Counter // accesses routed to the TLB path
-	FalsePositives      stats.Counter // candidates that were non-synonyms
-	TrueSynonymAccesses stats.Counter
-	NonSynonymAccesses  stats.Counter
 	DelayedTranslations stats.Counter // delayed translations on LLC misses
 	WritebackXlations   stats.Counter // delayed translations for writebacks
-	FilterReloads       stats.Counter
 	TLBShootdowns       stats.Counter
 	DelayedTLBMisses    stats.Counter
 	// FilterRebuilds counts adaptive filter reconstructions triggered by
@@ -167,6 +156,15 @@ type fpStats struct {
 // NewHybridMMU builds the hybrid MMU over the given kernel and registers
 // itself as the kernel's shootdown sink.
 func NewHybridMMU(cfg HybridConfig, k *osmodel.Kernel) *HybridMMU {
+	m := &HybridMMU{}
+	m.init(cfg, k, m, "syn-tlb")
+	return m
+}
+
+// init builds the MMU with parts as the synonym front end's classifier
+// and walker (the MMU itself, or an organization embedding it), naming
+// the front end's per-core TLBs tlbName.
+func (m *HybridMMU) init(cfg HybridConfig, k *osmodel.Kernel, parts synonymParts, tlbName string) {
 	if cfg.SynTLBEntries == 0 {
 		cfg.SynTLBEntries = 64
 	}
@@ -183,18 +181,10 @@ func NewHybridMMU(cfg HybridConfig, k *osmodel.Kernel) *HybridMMU {
 		// Larger delayed TLB arrays cost more energy per access.
 		cfg.Energy.PerAccess[energy.DelayedTLB] = energy.DelayedTLBEnergy(cfg.DelayedTLBEntries)
 	}
-	m := &HybridMMU{
-		cfg:        cfg,
-		kernel:     k,
-		shadowPerm: newPermTable(),
-		fpWindow:   make(map[addr.ASID]*fpStats),
-	}
-	m.Engine = pipeline.NewEngine(NewBase(cfg.Hier, cfg.DRAM, cfg.Energy), m, nil, m)
-	for i := 0; i < cfg.Hier.NumCores; i++ {
-		m.synTLB = append(m.synTLB, tlb.New(tlb.Config{
-			Name: fmt.Sprintf("syn-tlb[%d]", i), Entries: cfg.SynTLBEntries, Ways: 4, Latency: 1,
-		}))
-	}
+	m.cfg, m.kernel = cfg, k
+	m.fpWindow = make(map[addr.ASID]*fpStats)
+	m.SynonymFront = newSynonymFront(parts, NewBase(cfg.Hier, cfg.DRAM, cfg.Energy), m,
+		cfg.Hier.NumCores, cfg.SynTLBEntries, tlbName)
 	switch cfg.Delayed {
 	case DelayedPageTLB:
 		m.delayedTLB = tlb.New(tlb.Config{
@@ -215,7 +205,6 @@ func NewHybridMMU(cfg HybridConfig, k *osmodel.Kernel) *HybridMMU {
 		k.SegMgr.OnRebuild = ic.Flush
 	}
 	k.AttachSink(m)
-	return m
 }
 
 // Name implements MemSystem.
@@ -238,243 +227,38 @@ func (m *HybridMMU) Translator() *segment.Translator { return m.translator }
 // DelayedTLB exposes the delayed TLB (nil for segment mode).
 func (m *HybridMMU) DelayedTLB() *tlb.TLB { return m.delayedTLB }
 
-// SynTLB exposes core i's synonym TLB.
-func (m *HybridMMU) SynTLB(core int) *tlb.TLB { return m.synTLB[core] }
-
-// fillPerm returns the permission to record on a fill of (asid, page),
-// from the shadow cache or the process page tables.
-func (m *HybridMMU) fillPerm(proc *osmodel.Process, va addr.VA) addr.Perm {
-	key := makePermKey(proc.ASID, va.Page())
-	if p, ok := m.shadowPerm.get(key); ok {
-		return p
+// classify implements synonymParts with the Bloom synonym filter. Its
+// probe overlaps the L1 access for non-synonym addresses, so it adds no
+// latency; only energy.
+func (m *HybridMMU) classify(req *Request, _ *Result) (bool, *tlb.Entry, bool) {
+	if m.cfg.FilterBypass {
+		return false, nil, false
 	}
-	pte, ok := proc.PT.Lookup(va.PageAligned())
-	if !ok {
-		return addr.PermNone
-	}
-	m.shadowPerm.set(key, pte.Perm)
-	return pte.Perm
-}
-
-// Route implements pipeline.FrontEnd: the pre-L1 part of the Figure 1
-// flow. The synonym filter probe overlaps the L1 access for non-synonym
-// addresses, so it adds no latency; only energy.
-func (m *HybridMMU) Route(req *Request, res *Result) pipeline.Decision {
-	candidate := false
-	if !m.cfg.FilterBypass {
-		m.Acc.Access(energy.SynonymFilter, 1)
-		candidate = req.Proc.Filter.IsCandidate(req.VA)
-		if p := m.Probe(); p != nil {
-			p.Filter(pipeline.FilterEvent{Core: req.Core, Candidate: candidate})
-		}
-		if m.cfg.FPRebuildThreshold > 0 {
-			m.stepRebuildPolicy(req.Proc)
-		}
-	}
-	if candidate {
-		m.SynonymCandidates.Inc()
-		return m.routeSynonym(req, res)
-	}
-	m.NonSynonymAccesses.Inc()
-	return m.routeVirtual(req, res)
-}
-
-// permPrefetchBlock is how many requests ahead the batched front ends
-// warm shadow-permission table slots. The table is large on big
-// footprints, so its probes are host-cache misses; touching a block of
-// home slots up front lets those independent loads overlap.
-const permPrefetchBlock = 32
-
-var permTouchSink uint64
-
-// prefetchPerms warms the shadow-permission slots for the next block of
-// requests. Reads only; semantically invisible.
-func (m *HybridMMU) prefetchPerms(reqs []Request) {
-	n := len(reqs)
-	if n > permPrefetchBlock {
-		n = permPrefetchBlock
-	}
-	var t uint64
-	for j := 0; j < n; j++ {
-		t += m.shadowPerm.touch(makePermKey(reqs[j].Proc.ASID, reqs[j].VA.Page()))
-	}
-	permTouchSink += t
-}
-
-// RouteBatch implements pipeline.BatchFrontEnd: it decodes the maximal
-// prefix of reqs whose routing is pure — non-synonym accesses (and filter
-// false positives) with a mapped, permission-satisfying page, and true
-// synonym accesses that hit the synonym TLB. Each element is probed
-// quietly first; only elements that prove pure commit their bookkeeping
-// (filter and TLB statistics, LRU, energy), so the stopping element is
-// left for the engine's scalar path to redo exactly once. Elements that
-// need a timed page walk or an OS fault stop the run.
-func (m *HybridMMU) RouteBatch(reqs []Request, res []Result, dec []pipeline.Decision) int {
-	if m.cfg.FPRebuildThreshold > 0 {
-		// The adaptive rebuild policy may reconstruct the filter between
-		// any two accesses, invalidating quiet probes: stay scalar.
-		return 0
-	}
-	i := 0
-	for ; i < len(reqs); i++ {
-		if i%permPrefetchBlock == 0 {
-			m.prefetchPerms(reqs[i:])
-		}
-		req := &reqs[i]
-		isWrite := req.Kind == cache.Write
-		if m.cfg.FilterBypass {
-			perm := m.fillPerm(req.Proc, req.VA)
-			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
-				break
-			}
-			m.NonSynonymAccesses.Inc()
-			dec[i] = pipeline.GoVirtual(perm)
-			continue
-		}
-		if !req.Proc.Filter.ProbeQuiet(req.VA) {
-			perm := m.fillPerm(req.Proc, req.VA)
-			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
-				break
-			}
-			m.Acc.Access(energy.SynonymFilter, 1)
-			req.Proc.Filter.CountNonCandidates(1)
-			m.NonSynonymAccesses.Inc()
-			dec[i] = pipeline.GoVirtual(perm)
-			continue
-		}
-		// Synonym candidate: pure only when the synonym TLB already holds
-		// the page (a miss needs a timed walk).
-		st := m.synTLB[req.Core]
-		e, hit := st.Probe(req.Proc.ASID, req.VA.Page())
-		if !hit {
-			break
-		}
-		if e.NonSynonym {
-			// Filter false positive corrected by the TLB entry: the access
-			// proceeds virtually like a non-synonym.
-			perm := m.fillPerm(req.Proc, req.VA)
-			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
-				break
-			}
-			m.Acc.Access(energy.SynonymFilter, 1)
-			req.Proc.Filter.IsCandidate(req.VA)
-			m.SynonymCandidates.Inc()
-			m.Acc.Access(energy.SynonymTLB, 1)
-			res[i].Latency += st.Config().Latency
-			st.Lookup(req.Proc.ASID, req.VA.Page())
-			m.FalsePositives.Inc()
-			dec[i] = pipeline.GoVirtual(perm)
-			continue
-		}
-		if isWrite && !e.Perm.AllowsWrite() {
-			break
-		}
-		m.Acc.Access(energy.SynonymFilter, 1)
-		req.Proc.Filter.IsCandidate(req.VA)
-		m.SynonymCandidates.Inc()
-		m.Acc.Access(energy.SynonymTLB, 1)
-		res[i].Latency += st.Config().Latency
-		st.Lookup(req.Proc.ASID, req.VA.Page())
-		m.TrueSynonymAccesses.Inc()
-		pa := addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
-		dec[i] = pipeline.GoPhysical(pa, e.Perm)
-	}
-	return i
-}
-
-// routeSynonym handles synonym candidates: TLB before L1 (Section III-A).
-func (m *HybridMMU) routeSynonym(req *Request, res *Result) pipeline.Decision {
-	st := m.synTLB[req.Core]
-	m.Acc.Access(energy.SynonymTLB, 1)
-	res.Latency += st.Config().Latency
-
-	e, hit := st.Lookup(req.Proc.ASID, req.VA.Page())
+	m.Acc.Access(energy.SynonymFilter, 1)
+	candidate := req.Proc.Filter.IsCandidate(req.VA)
 	if p := m.Probe(); p != nil {
-		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBSynonym, Hit: hit})
+		p.Filter(pipeline.FilterEvent{Core: req.Core, Candidate: candidate})
 	}
-	if !hit {
-		leaf, lat, ok := m.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
-		res.Latency += lat
-		if !ok {
-			fl, fixed := m.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-			res.Latency += fl
-			res.Fault = true
-			if !fixed {
-				return pipeline.DoneNow()
-			}
-			leaf, lat, ok = m.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
-			res.Latency += lat
-			if !ok {
-				return pipeline.DoneNow()
-			}
-		}
-		ne := tlb.Entry{
-			ASID: req.Proc.ASID, VPN: req.VA.Page(), PFN: leaf.FrameFor4K(req.VA),
-			Perm: leaf.Perm, Shared: leaf.Shared, NonSynonym: !leaf.Shared,
-		}
-		st.Insert(ne)
-		e = &ne
+	if m.cfg.FPRebuildThreshold > 0 {
+		m.stepRebuildPolicy(req.Proc)
 	}
-
-	if e.NonSynonym {
-		// Filter false positive: the TLB entry corrects it; proceed with
-		// ASID+VA (the L1 block accessed with ASID+VA is used).
-		m.FalsePositives.Inc()
-		if p := m.Probe(); p != nil {
-			p.FalsePositive(pipeline.FalsePositiveEvent{Core: req.Core, VA: req.VA})
-		}
-		if w := m.fpWindow[req.Proc.ASID]; w != nil {
-			w.fps++
-		}
-		return m.routeVirtual(req, res)
-	}
-	m.TrueSynonymAccesses.Inc()
-
-	// Permission check before the cache access.
-	if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-		fl, fixed := m.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		// The fault remapped the page privately (CoW); retry as a fresh
-		// access (the shootdown already removed the stale entry).
-		m.Retry(req, res)
-		return pipeline.DoneNow()
-	}
-
-	pa := addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
-	return pipeline.GoPhysical(pa, e.Perm)
+	return candidate, nil, false
 }
 
-// routeVirtual handles non-synonym accesses: demand-paging and CoW faults
-// up front, then ASID+VA through the whole hierarchy.
-func (m *HybridMMU) routeVirtual(req *Request, res *Result) pipeline.Decision {
-	perm := m.fillPerm(req.Proc, req.VA)
-	if perm == addr.PermNone {
-		// Unmapped: demand paging fault, then retry.
-		fl, fixed := m.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		perm = m.fillPerm(req.Proc, req.VA)
-		if perm == addr.PermNone {
-			return pipeline.DoneNow()
-		}
+// falsePositive implements synonymParts: it feeds the rebuild window.
+func (m *HybridMMU) falsePositive(proc *osmodel.Process) {
+	if w := m.fpWindow[proc.ASID]; w != nil {
+		w.fps++
 	}
-	if req.Kind == cache.Write && !perm.AllowsWrite() {
-		fl, fixed := m.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		perm = m.fillPerm(req.Proc, req.VA)
-	}
-	return pipeline.GoVirtual(perm)
+}
+
+// walk implements synonymParts with a 1D timed page walk.
+func (m *HybridMMU) walk(core int, proc *osmodel.Process, va addr.VA) (tlb.Entry, uint64, bool) {
+	leaf, lat, ok := m.TimedWalk(core, proc, va.PageAligned())
+	return tlb.Entry{
+		ASID: proc.ASID, VPN: va.Page(), PFN: leaf.FrameFor4K(va),
+		Perm: leaf.Perm, Shared: leaf.Shared, NonSynonym: !leaf.Shared,
+	}, lat, ok
 }
 
 // Finish implements pipeline.Backend: delayed translation after the LLC,
@@ -534,6 +318,7 @@ func (m *HybridMMU) stepRebuildPolicy(proc *osmodel.Process) {
 		return
 	}
 	if float64(w.fps) > m.cfg.FPRebuildThreshold*float64(w.accesses) {
+		m.Sync()
 		m.kernel.RebuildFilter(proc)
 		m.FilterRebuilds.Inc()
 	}
@@ -558,12 +343,7 @@ func (m *HybridMMU) delayedTranslate(core int, proc *osmodel.Process, va addr.VA
 		if m.cfg.WithSegmentCache {
 			m.Acc.Access(energy.SegmentCache, 1)
 		}
-		var tres segment.TranslateResult
-		if m.ScratchMode() {
-			tres = m.translator.TranslateReuse(proc.ASID, va)
-		} else {
-			tres = m.translator.Translate(proc.ASID, va)
-		}
+		tres := m.translator.TranslateReuse(proc.ASID, va)
 		if !tres.SCHit {
 			m.Acc.Access(energy.IndexCache, uint64(tres.ICProbes))
 			m.Acc.Access(energy.SegmentTable, 1)
@@ -614,9 +394,7 @@ func (m *HybridMMU) delayedTranslate(core int, proc *osmodel.Process, va addr.VA
 // delayed translation structures, and drops the shadow permission.
 func (m *HybridMMU) TLBShootdown(asid addr.ASID, vpn uint64) {
 	m.TLBShootdowns.Inc()
-	for _, st := range m.synTLB {
-		st.Shootdown(asid, vpn)
-	}
+	m.shootdown(asid, vpn)
 	if m.delayedTLB != nil {
 		m.delayedTLB.Shootdown(asid, vpn)
 	}
@@ -624,44 +402,17 @@ func (m *HybridMMU) TLBShootdown(asid addr.ASID, vpn uint64) {
 		// Conservative: the 2 MiB granule containing the page.
 		m.translator.SC.FlushAll()
 	}
-	m.shadowPerm.del(makePermKey(asid, vpn))
-}
-
-// FlushPage removes a page's lines from the hierarchy.
-func (m *HybridMMU) FlushPage(page addr.Name) {
-	m.Hier.FlushPage(page)
-	if !page.Synonym {
-		m.shadowPerm.del(makePermKey(page.ASID, page.Page()))
-	}
-}
-
-// SetPagePerm updates cached permission bits (r/o content sharing).
-func (m *HybridMMU) SetPagePerm(page addr.Name, perm addr.Perm) {
-	m.Hier.SetPagePerm(page, perm)
-	if !page.Synonym {
-		m.shadowPerm.set(makePermKey(page.ASID, page.Page()), perm)
-	}
-}
-
-// FilterUpdate models the per-core filter storage reload after the OS
-// changes an address space's synonym filter.
-func (m *HybridMMU) FilterUpdate(asid addr.ASID) {
-	m.FilterReloads.Inc()
 }
 
 // FlushASID removes the address space from every hardware structure so
 // the OS can recycle the identifier.
 func (m *HybridMMU) FlushASID(asid addr.ASID) {
-	m.Hier.FlushASID(asid)
-	for _, st := range m.synTLB {
-		st.FlushASID(asid)
-	}
+	m.flushASID(asid)
 	if m.delayedTLB != nil {
 		m.delayedTLB.FlushASID(asid)
 	}
 	if m.translator != nil && m.translator.SC != nil {
 		m.translator.SC.FlushAll()
 	}
-	m.shadowPerm.flushASID(asid)
 	delete(m.fpWindow, asid)
 }

@@ -28,12 +28,14 @@ const rltWalkLatency = 40
 // bitmap covering recordPages pages), and only a full miss rebuilds the
 // record from the OS synonym ranges. Exactness trades the Bloom filter's
 // false positives for record storage that competes with data in the LLC —
-// the fig4/table2-style comparison this organization exists for. Delayed
-// translation (post-LLC) reuses the embedded hybrid MMU's backend.
+// the fig4/table2-style comparison this organization exists for.
+//
+// It is the hybrid MMU with the record cache as the SynonymFront's
+// classifier: the record cache is also the synonym TLB (its synonym
+// entries carry the translation), and virtual routing, delayed
+// translation and writeback machinery are the hybrid MMU's verbatim.
 type RLTVC struct {
 	*HybridMMU
-	*pipeline.Engine
-	rlt []*tlb.TLB
 
 	// RLTWalks counts record rebuilds from the OS ranges (both the record
 	// cache and the data caches missed).
@@ -48,18 +50,11 @@ type RLTVC struct {
 	RecordEvictions stats.Counter
 }
 
-// NewRLTVC builds the organization over an inner hybrid MMU (whose Bloom
-// filter goes unused on the front end, but whose virtual routing, delayed
-// translation and writeback machinery are reused verbatim) and registers
-// as the kernel's sink and the hierarchy's payload-eviction listener.
+// NewRLTVC builds the organization and registers as the kernel's sink and
+// the hierarchy's payload-eviction listener.
 func NewRLTVC(cfg HybridConfig, k *osmodel.Kernel) *RLTVC {
-	m := &RLTVC{HybridMMU: NewHybridMMU(cfg, k)}
-	m.Engine = pipeline.NewEngine(m.HybridMMU.BaseState(), m, nil, m.HybridMMU)
-	for i := 0; i < cfg.Hier.NumCores; i++ {
-		m.rlt = append(m.rlt, tlb.New(tlb.Config{
-			Name: fmt.Sprintf("rlt[%d]", i), Entries: 64, Ways: 4, Latency: 1,
-		}))
-	}
+	m := &RLTVC{HybridMMU: &HybridMMU{}}
+	m.HybridMMU.init(cfg, k, m, "rlt")
 	m.Hier.SetPayloadListener(m)
 	k.AttachSink(m)
 	return m
@@ -69,7 +64,7 @@ func NewRLTVC(cfg HybridConfig, k *osmodel.Kernel) *RLTVC {
 func (m *RLTVC) Name() string { return "rlt-vc" }
 
 // RLT exposes core i's record cache.
-func (m *RLTVC) RLT(core int) *tlb.TLB { return m.rlt[core] }
+func (m *RLTVC) RLT(core int) *tlb.TLB { return m.SynTLB(core) }
 
 // recordGroup returns the base VPN of the record block covering vpn.
 func recordGroup(vpn uint64) uint64 { return vpn &^ (recordPages - 1) }
@@ -101,6 +96,7 @@ func recordBitmap(proc *osmodel.Process, group uint64) uint64 {
 func (m *RLTVC) lookupRecord(req *Request, res *Result) bool {
 	vpn := req.VA.Page()
 	name := recordName(req.Proc.ASID, vpn)
+	m.Sync()
 	payload, lat, hit := m.Hier.ProbePayload(req.Core, name)
 	res.Latency += lat
 	if p := m.Probe(); p != nil {
@@ -119,16 +115,16 @@ func (m *RLTVC) lookupRecord(req *Request, res *Result) bool {
 	return payload>>(vpn-recordGroup(vpn))&1 != 0
 }
 
-// Route implements pipeline.FrontEnd. The record cache replaces the Bloom
-// filter probe (same overlapped position, same energy component), and its
-// verdict is exact: a synonym classification is always true, so the
-// false-positive path never runs and the FalsePositives counter stays zero
-// by construction.
-func (m *RLTVC) Route(req *Request, res *Result) pipeline.Decision {
+// classify implements synonymParts with the record cache. It replaces the
+// Bloom filter probe (same overlapped position, same energy component),
+// and its verdict is exact: a synonym classification is always true, so
+// the false-positive path never runs and the FalsePositives counter stays
+// zero by construction. The record-cache lookup doubles as the synonym
+// TLB lookup, so its entry goes back to the front end.
+func (m *RLTVC) classify(req *Request, res *Result) (bool, *tlb.Entry, bool) {
 	m.Acc.Access(energy.SynonymFilter, 1)
-	rc := m.rlt[req.Core]
 	vpn := req.VA.Page()
-	e, hit := rc.Lookup(req.Proc.ASID, vpn)
+	e, hit := m.SynTLB(req.Core).Lookup(req.Proc.ASID, vpn)
 	if p := m.Probe(); p != nil {
 		p.TLB(pipeline.TLBEvent{Core: req.Core, Level: pipeline.TLBRLT, Hit: hit})
 	}
@@ -141,54 +137,18 @@ func (m *RLTVC) Route(req *Request, res *Result) pipeline.Decision {
 	if p := m.Probe(); p != nil {
 		p.Filter(pipeline.FilterEvent{Core: req.Core, Candidate: isSyn})
 	}
-	if !isSyn {
-		if !hit {
-			m.insertNonSynonym(req.Core, req.Proc, vpn)
-		}
-		m.NonSynonymAccesses.Inc()
-		return m.routeVirtual(req, res)
+	if !isSyn && !hit {
+		m.insertNonSynonym(req.Core, req.Proc, vpn)
 	}
-	m.SynonymCandidates.Inc()
-	m.Acc.Access(energy.SynonymTLB, 1)
-	res.Latency += rc.Config().Latency
-	if !hit {
-		leaf, lat, ok := m.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
-		res.Latency += lat
-		if !ok {
-			fl, fixed := m.HandleFault(req.Proc, req.VA, req.Kind == cache.Write)
-			res.Latency += fl
-			res.Fault = true
-			if !fixed {
-				return pipeline.DoneNow()
-			}
-			leaf, lat, ok = m.TimedWalk(req.Core, req.Proc, req.VA.PageAligned())
-			res.Latency += lat
-			if !ok {
-				return pipeline.DoneNow()
-			}
-		}
-		ne := tlb.Entry{
-			ASID: req.Proc.ASID, VPN: vpn, PFN: leaf.FrameFor4K(req.VA),
-			Perm: leaf.Perm, Shared: leaf.Shared,
-		}
-		rc.Insert(ne)
-		e = &ne
-	}
-	m.TrueSynonymAccesses.Inc()
-	if req.Kind == cache.Write && !e.Perm.AllowsWrite() {
-		fl, fixed := m.HandleFault(req.Proc, req.VA, true)
-		res.Latency += fl
-		res.Fault = true
-		if !fixed {
-			return pipeline.DoneNow()
-		}
-		// The fault remapped the page privately (CoW); retry as a fresh
-		// access (the shootdown already removed the stale entry).
-		m.Retry(req, res)
-		return pipeline.DoneNow()
-	}
-	pa := addr.FrameToPA(e.PFN) + addr.PA(req.VA.PageOffset())
-	return pipeline.GoPhysical(pa, e.Perm)
+	return isSyn, e, true
+}
+
+// walk implements synonymParts: the hybrid MMU's 1D walk, but the record
+// cache's classification is exact, so a walked entry is always a synonym.
+func (m *RLTVC) walk(core int, proc *osmodel.Process, va addr.VA) (tlb.Entry, uint64, bool) {
+	e, lat, ok := m.HybridMMU.walk(core, proc, va)
+	e.NonSynonym = false
+	return e, lat, ok
 }
 
 // insertNonSynonym caches a page's non-synonym classification, carrying
@@ -204,51 +164,10 @@ func (m *RLTVC) insertNonSynonym(core int, proc *osmodel.Process, vpn uint64) {
 	if pte.Huge {
 		pfn |= vpn & (addr.HugePageSize/addr.PageSize - 1)
 	}
-	m.rlt[core].Insert(tlb.Entry{
+	m.SynTLB(core).Insert(tlb.Entry{
 		ASID: proc.ASID, VPN: vpn, PFN: pfn,
 		Perm: pte.Perm, Shared: pte.Shared, NonSynonym: true,
 	})
-}
-
-// RouteBatch implements pipeline.BatchFrontEnd: record-cache hits decode
-// purely (virtual for non-synonyms, physical for synonyms); record-cache
-// misses touch the hierarchy (record probe or rebuild) and stop the run.
-func (m *RLTVC) RouteBatch(reqs []Request, res []Result, dec []pipeline.Decision) int {
-	i := 0
-	for ; i < len(reqs); i++ {
-		if i%permPrefetchBlock == 0 {
-			m.prefetchPerms(reqs[i:])
-		}
-		req := &reqs[i]
-		isWrite := req.Kind == cache.Write
-		rc := m.rlt[req.Core]
-		e, hit := rc.Probe(req.Proc.ASID, req.VA.Page())
-		if !hit {
-			break
-		}
-		if e.NonSynonym {
-			perm := m.fillPerm(req.Proc, req.VA)
-			if perm == addr.PermNone || (isWrite && !perm.AllowsWrite()) {
-				break
-			}
-			m.Acc.Access(energy.SynonymFilter, 1)
-			rc.Touch(e)
-			m.NonSynonymAccesses.Inc()
-			dec[i] = pipeline.GoVirtual(perm)
-			continue
-		}
-		if isWrite && !e.Perm.AllowsWrite() {
-			break
-		}
-		m.Acc.Access(energy.SynonymFilter, 1)
-		rc.Touch(e)
-		m.SynonymCandidates.Inc()
-		m.TrueSynonymAccesses.Inc()
-		m.Acc.Access(energy.SynonymTLB, 1)
-		res[i].Latency += rc.Config().Latency
-		dec[i] = pipeline.GoPhysical(addr.FrameToPA(e.PFN)+addr.PA(req.VA.PageOffset()), e.Perm)
-	}
-	return i
 }
 
 // PayloadEvicted implements cache.PayloadListener: a record block left the
@@ -288,14 +207,11 @@ func (m *RLTVC) flushRecords(asid addr.ASID) {
 
 // --- osmodel.ShootdownSink (extends the inner hybrid MMU's handling) ---
 
-// TLBShootdown additionally invalidates the page in every record cache and
-// flushes its record block: the remap may change the page's synonym
-// classification, so the cached record must be rebuilt.
+// TLBShootdown additionally flushes the page's record block: the remap
+// may change the page's synonym classification, so the cached record must
+// be rebuilt.
 func (m *RLTVC) TLBShootdown(asid addr.ASID, vpn uint64) {
 	m.HybridMMU.TLBShootdown(asid, vpn)
-	for _, rc := range m.rlt {
-		rc.Shootdown(asid, vpn)
-	}
 	m.Hier.FlushName(recordName(asid, vpn))
 }
 
@@ -304,19 +220,10 @@ func (m *RLTVC) TLBShootdown(asid addr.ASID, vpn uint64) {
 // space is dropped.
 func (m *RLTVC) FilterUpdate(asid addr.ASID) {
 	m.HybridMMU.FilterUpdate(asid)
-	for _, rc := range m.rlt {
+	for _, rc := range m.synTLB {
 		rc.FlushASID(asid)
 	}
 	m.flushRecords(asid)
-}
-
-// FlushASID additionally drops the address space's record-cache entries
-// (its record blocks go with the inner hierarchy ASID flush).
-func (m *RLTVC) FlushASID(asid addr.ASID) {
-	m.HybridMMU.FlushASID(asid)
-	for _, rc := range m.rlt {
-		rc.FlushASID(asid)
-	}
 }
 
 var _ cache.PayloadListener = (*RLTVC)(nil)

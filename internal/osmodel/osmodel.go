@@ -191,8 +191,6 @@ type Process struct {
 	vaNext  addr.VA
 	shmNext addr.VA
 
-	// TouchedPages tracks distinct pages accessed (utilization metrics).
-	TouchedPages map[uint64]struct{}
 	// SharedAccesses and TotalAccesses drive the Table I ratios.
 	SharedAccesses stats.Counter
 	TotalAccesses  stats.Counter
@@ -221,13 +219,12 @@ func (k *Kernel) NewProcess() (*Process, error) {
 		return nil, err
 	}
 	p := &Process{
-		k:            k,
-		ASID:         asid,
-		PT:           pt,
-		Filter:       synfilter.New(),
-		vaNext:       userBase,
-		shmNext:      shmBase,
-		TouchedPages: make(map[uint64]struct{}),
+		k:       k,
+		ASID:    asid,
+		PT:      pt,
+		Filter:  synfilter.New(),
+		vaNext:  userBase,
+		shmNext: shmBase,
 	}
 	k.procs[asid] = p
 	return p, nil
@@ -396,7 +393,6 @@ func (p *Process) HandleFault(va addr.VA, isWrite bool) bool {
 
 // Touch records an access for utilization and shared-ratio accounting.
 func (p *Process) Touch(va addr.VA, r *Region) {
-	p.TouchedPages[va.Page()] = struct{}{}
 	p.TotalAccesses.Inc()
 	if r != nil && r.Shared {
 		p.SharedAccesses.Inc()

@@ -4,10 +4,13 @@
 // every size in the -chunks sweep (default 64,128,256), on identically
 // seeded twin systems. Each pass does one untimed warmup and the timed
 // trials alternate the scalar pass with every batch chunk size, so slow
-// periods on a noisy host hit all columns alike; each column scores its
-// best of five trials, the standard way to strip GC/scheduler noise from
-// a steady-state measurement. The refs/sec of both paths, their ratio at
-// the simulator's default chunk, and the full chunk sweep land in
+// periods on a noisy host hit all columns alike. Each refs/sec column
+// scores its best of five trials, the standard way to strip GC/scheduler
+// noise from a steady-state throughput. The batch/scalar speedup is the
+// median of the five per-trial ratios: a trial's scalar and batch passes
+// run back to back, so their ratio cancels the host's slow periods that a
+// ratio of two independent bests keeps. The refs/sec of both paths, their
+// speedup at the simulator's default chunk, and the full chunk sweep land in
 // BENCH_hotpath.json so the hot-path trajectory is tracked alongside
 // BENCH_sweep.json. Run via:
 //
@@ -19,6 +22,7 @@ import (
 	"flag"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,6 +63,16 @@ func parseChunks(b *testing.B, s string) []int {
 		b.Fatalf("-chunks %q: empty sweep", s)
 	}
 	return out
+}
+
+// medianRatio returns the median over trials of num[t]/den[t].
+func medianRatio(num, den []float64) float64 {
+	r := make([]float64, len(num))
+	for t := range num {
+		r[t] = num[t] / den[t]
+	}
+	slices.Sort(r)
+	return r[len(r)/2]
 }
 
 func BenchmarkHotPath(b *testing.B) {
@@ -125,8 +139,7 @@ func BenchmarkHotPath(b *testing.B) {
 
 			// One untimed warmup pass each to reach steady state, then the
 			// timed trials alternate the scalar pass with every chunk size so
-			// slow periods on a noisy host hit all columns alike; each column
-			// scores its best trial.
+			// slow periods on a noisy host hit all columns alike.
 			scalarPass()
 			batchPass(primary)
 			timed := func(pass func()) float64 {
@@ -135,33 +148,30 @@ func BenchmarkHotPath(b *testing.B) {
 				pass()
 				return time.Since(start).Seconds()
 			}
-			scalarSecs := 0.0
-			batchSecs := make([]float64, len(chunks))
+			scalarSecs := make([]float64, trials)
+			batchSecs := make([][]float64, len(chunks))
+			for ci := range batchSecs {
+				batchSecs[ci] = make([]float64, trials)
+			}
 			for t := 0; t < trials; t++ {
-				s := timed(scalarPass)
-				if t == 0 || s < scalarSecs {
-					scalarSecs = s
-				}
+				scalarSecs[t] = timed(scalarPass)
 				for ci, chunk := range chunks {
-					bt := timed(func() { batchPass(chunk) })
-					if t == 0 || bt < batchSecs[ci] {
-						batchSecs[ci] = bt
-					}
+					batchSecs[ci][t] = timed(func() { batchPass(chunk) })
 				}
 			}
 
 			rows = append(rows, row{
 				Org:              string(org),
 				Refs:             refs,
-				ScalarRefsPerSec: float64(refs) / scalarSecs,
-				BatchRefsPerSec:  float64(refs) / batchSecs[pi],
-				Speedup:          scalarSecs / batchSecs[pi],
+				ScalarRefsPerSec: float64(refs) / slices.Min(scalarSecs),
+				BatchRefsPerSec:  float64(refs) / slices.Min(batchSecs[pi]),
+				Speedup:          medianRatio(scalarSecs, batchSecs[pi]),
 			})
 			for ci := range chunks {
 				sweep[ci] = append(sweep[ci], sweepRow{
 					Org:             string(org),
-					BatchRefsPerSec: float64(refs) / batchSecs[ci],
-					Speedup:         scalarSecs / batchSecs[ci],
+					BatchRefsPerSec: float64(refs) / slices.Min(batchSecs[ci]),
+					Speedup:         medianRatio(scalarSecs, batchSecs[ci]),
 				})
 			}
 		}

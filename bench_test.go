@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ var sinkTable interface{}
 
 func BenchmarkTable1SharedMemory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.TableI(experiments.Quick)
+		_, t, err := experiments.TableI(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func BenchmarkTable1SharedMemory(b *testing.B) {
 
 func BenchmarkTable2SynonymFilter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.TableII(experiments.Quick)
+		_, t, err := experiments.TableII(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func BenchmarkTable2SynonymFilter(b *testing.B) {
 
 func BenchmarkTable3Segments(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.TableIII(experiments.Quick)
+		_, t, err := experiments.TableIII(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func BenchmarkTable3Segments(b *testing.B) {
 
 func BenchmarkFigure4DelayedTLBScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.Figure4(experiments.Quick)
+		_, t, err := experiments.Figure4(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func BenchmarkFigure4DelayedTLBScaling(b *testing.B) {
 
 func BenchmarkFigure7aIndexCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.Figure7a(experiments.Quick)
+		_, t, err := experiments.Figure7a(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func BenchmarkFigure7aIndexCache(b *testing.B) {
 
 func BenchmarkFigure7bIndexCacheWorstCase(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.Figure7b(experiments.Quick)
+		_, t, err := experiments.Figure7b(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func BenchmarkFigure7bIndexCacheWorstCase(b *testing.B) {
 
 func BenchmarkFigure9NativePerformance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.Figure9(experiments.Quick)
+		_, t, err := experiments.Figure9(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func BenchmarkFigure9NativePerformance(b *testing.B) {
 
 func BenchmarkFigure10VirtualizedPerformance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.Figure10(experiments.Quick)
+		_, t, err := experiments.Figure10(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func BenchmarkFigure10VirtualizedPerformance(b *testing.B) {
 
 func BenchmarkFigure11TranslationEnergy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.Figure11(experiments.Quick)
+		_, t, err := experiments.Figure11(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +153,7 @@ func BenchmarkFigure11TranslationEnergy(b *testing.B) {
 
 func BenchmarkSegmentWalkLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.SegmentWalkLatency(experiments.Quick)
+		t, err := experiments.SegmentWalkLatency(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func BenchmarkSegmentWalkLatency(b *testing.B) {
 
 func BenchmarkAblationFilterDesign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationFilterDesign(experiments.Quick)
+		t, err := experiments.AblationFilterDesign(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func BenchmarkAblationFilterDesign(b *testing.B) {
 
 func BenchmarkAblationSegmentCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationSegmentCache(experiments.Quick)
+		t, err := experiments.AblationSegmentCache(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func BenchmarkAblationSegmentCache(b *testing.B) {
 
 func BenchmarkMulticoreMixes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, t, err := experiments.Multicore(experiments.Quick)
+		_, t, err := experiments.Multicore(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +205,7 @@ func BenchmarkMulticoreMixes(b *testing.B) {
 
 func BenchmarkAblationHugePages(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationHugePages(experiments.Quick)
+		t, err := experiments.AblationHugePages(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func BenchmarkQuickFullSweep(b *testing.B) {
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		for _, e := range experiments.All() {
-			tables, err := e.Run(experiments.Quick)
+			tables, err := e.Run(experiments.Quick, experiments.RunOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -234,7 +235,7 @@ func BenchmarkQuickFullSweep(b *testing.B) {
 	b.ReportMetric(secs, "s/sweep")
 	out, err := json.MarshalIndent(map[string]any{
 		"name":              "quick_full_sweep",
-		"jobs":              experiments.Jobs(),
+		"jobs":              runtime.GOMAXPROCS(0),
 		"experiments":       len(experiments.All()),
 		"seconds_per_sweep": secs,
 	}, "", "  ")
@@ -339,7 +340,7 @@ func BenchmarkPageWalk(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.PT.WalkPath(va + addr.VA(uint64(i)%(64<<20)))
+		p.PT.WalkPath(nil, va+addr.VA(uint64(i)%(64<<20)))
 	}
 }
 
@@ -381,7 +382,7 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 
 func BenchmarkAblationSerialParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationSerialParallel(experiments.Quick)
+		t, err := experiments.AblationSerialParallel(experiments.Quick, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -62,17 +63,22 @@ func main() {
 	// journaled, so re-running the same command resumes where it stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	experiments.SetContext(ctx)
-	experiments.SetCheckpoint(*ckpt)
-	experiments.SetCellTimeout(*cellTimeout)
-	experiments.SetRetry(*retries, *backoff)
-
-	experiments.SetJobs(*jobs)
+	if *jobs <= 0 {
+		*jobs = runtime.GOMAXPROCS(0)
+	}
+	opts := experiments.RunOptions{
+		Jobs:        *jobs,
+		Ctx:         ctx,
+		CellTimeout: *cellTimeout,
+		Retries:     *retries,
+		Backoff:     *backoff,
+		Checkpoint:  *ckpt,
+	}
 	if *verbose {
-		experiments.SetProgress(func(done, total int, label string, elapsed time.Duration) {
+		opts.Progress = func(done, total int, label string, elapsed time.Duration) {
 			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-40s %8v\n", done, total, label,
 				elapsed.Round(time.Millisecond))
-		})
+		}
 	}
 
 	scale := experiments.Quick
@@ -95,7 +101,7 @@ func main() {
 	sweepStart := time.Now()
 	for _, e := range selected {
 		start := time.Now()
-		tables, err := e.Run(scale)
+		tables, err := e.Run(scale, opts)
 		if err != nil {
 			fail(fmt.Errorf("experiment %s: %w", e.Name, err))
 		}
@@ -112,7 +118,7 @@ func main() {
 	}
 	if len(selected) > 1 {
 		fmt.Printf("[sweep of %d experiments completed in %v with %d workers]\n",
-			len(selected), time.Since(sweepStart).Round(time.Millisecond), experiments.Jobs())
+			len(selected), time.Since(sweepStart).Round(time.Millisecond), *jobs)
 	}
 }
 

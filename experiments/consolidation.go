@@ -57,13 +57,13 @@ func consolidationCell(hybrid bool, n uint64) (uint64, error) {
 // 2D-walk baseline against the virtualized hybrid design. VMID-extended
 // ASIDs keep the VMs' virtually named lines apart while they share the
 // LLC and the delayed translation hardware.
-func Consolidation(scale Scale) (*stats.Table, error) {
+func Consolidation(scale Scale, opts RunOptions) (*stats.Table, error) {
 	n := scale.pick(25_000, 400_000)
 	cells := []Cell{
 		{Label: "consolidation/2d-baseline", Fn: func() (any, error) { return consolidationCell(false, n) }},
 		{Label: "consolidation/virt-hybrid", Fn: func() (any, error) { return consolidationCell(true, n) }},
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

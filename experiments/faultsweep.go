@@ -24,7 +24,7 @@ const faultWorkload = "postgres"
 // byte-stable — the golden test pins that injected faults are fully
 // deterministic (same seed, same schedule, same perturbed timings) for
 // any worker count.
-func FaultSweep(s Scale) (*stats.Table, error) {
+func FaultSweep(s Scale, opts RunOptions) (*stats.Table, error) {
 	insns := s.pick(20_000, 100_000)
 	simCfg := sim.DefaultConfig()
 	simCfg.Timeslice = 10_000
@@ -44,7 +44,7 @@ func FaultSweep(s Scale) (*stats.Table, error) {
 		addCell(hybridvc.HybridManySegSC, k.String(), []fault.Kind{k})
 	}
 
-	results, err := runCells(cells)
+	results, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ type Figure4Series struct {
 // workloads (gups, milc, mcf) even a 32K-entry delayed TLB barely reduces
 // misses — fixed-granularity delayed translation does not scale. Each
 // (workload × size) point is one trace-model cell on the sweep runner.
-func Figure4(scale Scale) ([]Figure4Series, *stats.Table, error) {
+func Figure4(scale Scale, opts RunOptions) ([]Figure4Series, *stats.Table, error) {
 	n := scale.pick(150_000, 2_000_000)
 	var cells []Cell
 	for _, name := range Figure4Workloads {
@@ -56,7 +56,7 @@ func Figure4(scale Scale) ([]Figure4Series, *stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

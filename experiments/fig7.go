@@ -62,7 +62,7 @@ func fig7aCell(names []string, cores, size int, n uint64) (float64, error) {
 // Figure7a measures index cache hit rates for real workloads (single
 // applications and a quad-core multiprogrammed mix), with each segment
 // artificially broken into 10 to add external fragmentation.
-func Figure7a(scale Scale) ([]Figure7Series, *stats.Table, error) {
+func Figure7a(scale Scale, opts RunOptions) ([]Figure7Series, *stats.Table, error) {
 	n := scale.pick(60_000, 1_000_000)
 	sizes := Figure7Sizes
 	if scale == Quick {
@@ -95,7 +95,7 @@ func Figure7a(scale Scale) ([]Figure7Series, *stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,7 +161,7 @@ func fig7bCell(segs int, incremental bool, size int, n uint64) (float64, error) 
 // perfectly packed tree (≈25 KiB — it fits a 32 KiB index cache entirely)
 // and an incrementally maintained tree at its natural ~2/3 fill factor,
 // which reproduces the paper's 75.5%-at-32 KiB figure.
-func Figure7b(scale Scale) ([]Figure7Series, *stats.Table, error) {
+func Figure7b(scale Scale, opts RunOptions) ([]Figure7Series, *stats.Table, error) {
 	n := scale.pick(200_000, 1_000_000)
 	curves := []struct {
 		label       string
@@ -184,7 +184,7 @@ func Figure7b(scale Scale) ([]Figure7Series, *stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -23,7 +23,7 @@ type a4Result struct {
 // latency) or serially after the miss (saving the energy of translations
 // that an LLC hit would have made unnecessary). The paper chooses serial;
 // this table shows the latency/energy trade both ways.
-func AblationSerialParallel(scale Scale) (*stats.Table, error) {
+func AblationSerialParallel(scale Scale, opts RunOptions) (*stats.Table, error) {
 	n := scale.pick(40_000, 500_000)
 	workloads := []string{"omnetpp", "gups"}
 	modes := []bool{false, true}
@@ -57,7 +57,7 @@ func AblationSerialParallel(scale Scale) (*stats.Table, error) {
 			})
 		}
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -12,36 +12,16 @@ import (
 	"time"
 )
 
-// withKnobs resets every resilience knob after the test so the package-
-// level configuration cannot leak between tests.
-func withKnobs(t *testing.T) {
-	t.Helper()
-	prevCtx := SetContext(nil)
-	prevTimeout := SetCellTimeout(0)
-	prevRetries, prevBackoff := SetRetry(0, 0)
-	prevCkpt := SetCheckpoint("")
-	t.Cleanup(func() {
-		SetContext(prevCtx)
-		SetCellTimeout(prevTimeout)
-		SetRetry(prevRetries, prevBackoff)
-		SetCheckpoint(prevCkpt)
-	})
-}
-
 // fnCell builds a trivial Fn cell returning its own index.
 func fnCell(i int, fn func() (any, error)) Cell {
 	return Cell{Label: fmt.Sprintf("cell-%d", i), Fn: fn, DecodeValue: decodeStringRow}
 }
 
 // TestContextCancelStopsSweep proves cancellation is prompt: once the
-// context fires, pending cells never start and runCells reports the
+// context fires, pending cells never start and RunCells reports the
 // interruption.
 func TestContextCancelStopsSweep(t *testing.T) {
-	withKnobs(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	SetContext(ctx)
-	prev := SetJobs(2)
-	defer SetJobs(prev)
 
 	var started atomic.Int64
 	release := make(chan struct{})
@@ -61,7 +41,7 @@ func TestContextCancelStopsSweep(t *testing.T) {
 		cancel()
 		close(release)
 	}()
-	_, err := runCells(cells)
+	_, err := RunCells(cells, RunOptions{Jobs: 2, Ctx: ctx})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
@@ -74,8 +54,6 @@ func TestContextCancelStopsSweep(t *testing.T) {
 // fail transiently (explicitly marked, or via panic) succeed within the
 // attempt budget, and non-transient failures are not retried.
 func TestRetryRecoversTransientFailures(t *testing.T) {
-	withKnobs(t)
-	SetRetry(3, time.Millisecond)
 
 	var transientTries, panicTries, fatalTries atomic.Int64
 	cells := []Cell{
@@ -96,7 +74,7 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 			return nil, errors.New("permanent failure")
 		}),
 	}
-	results, err := runCells(cells)
+	results, err := RunCells(cells, RunOptions{Retries: 3, Backoff: time.Millisecond})
 	if err == nil {
 		t.Fatal("permanent failure not reported")
 	}
@@ -114,8 +92,7 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 // TestCellTimeoutIsTransient proves a hung cell is abandoned at the
 // timeout and the failure classifies as transient (so retries apply).
 func TestCellTimeoutIsTransient(t *testing.T) {
-	withKnobs(t)
-	SetCellTimeout(10 * time.Millisecond)
+	opts := RunOptions{CellTimeout: 10 * time.Millisecond}
 
 	var tries atomic.Int64
 	hang := make(chan struct{})
@@ -126,14 +103,14 @@ func TestCellTimeoutIsTransient(t *testing.T) {
 		}
 		return []string{"ok"}, nil
 	})}
-	_, err := runCells(cells)
+	_, err := RunCells(cells, opts)
 	if err == nil || !IsTransient(err) {
 		t.Fatalf("timeout error %v is not transient", err)
 	}
 
-	SetRetry(1, time.Millisecond)
+	opts.Retries, opts.Backoff = 1, time.Millisecond
 	tries.Store(0)
-	results, err := runCells(cells)
+	results, err := RunCells(cells, opts)
 	if err != nil {
 		t.Fatalf("retry after timeout failed: %v", err)
 	}
@@ -146,11 +123,8 @@ func TestCellTimeoutIsTransient(t *testing.T) {
 // partway, then re-run against the same checkpoint, reaches results
 // identical to an uninterrupted sweep — restored cells do not re-run.
 func TestCheckpointResume(t *testing.T) {
-	withKnobs(t)
 	ckpt := filepath.Join(t.TempDir(), "sweep.ndjson")
-	SetCheckpoint(ckpt)
-	prev := SetJobs(1)
-	defer SetJobs(prev)
+	opts := RunOptions{Jobs: 1, Checkpoint: ckpt}
 
 	var runs atomic.Int64
 	fail := atomic.Bool{}
@@ -170,7 +144,7 @@ func TestCheckpointResume(t *testing.T) {
 		return cells
 	}
 
-	if _, err := runCells(mk()); err == nil {
+	if _, err := RunCells(mk(), opts); err == nil {
 		t.Fatal("interrupted sweep reported success")
 	}
 	if n := runs.Load(); n != 3 {
@@ -178,7 +152,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	fail.Store(false)
-	results, err := runCells(mk())
+	results, err := RunCells(mk(), opts)
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
 	}
@@ -201,7 +175,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := runCells(mk()); err != nil {
+	if _, err := RunCells(mk(), opts); err != nil {
 		t.Fatalf("resume with torn trailing record: %v", err)
 	}
 	if n := runs.Load(); n != 6 {
@@ -214,20 +188,18 @@ func TestCheckpointResume(t *testing.T) {
 // restored yields the same table as running fresh.
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	skipIfRace(t)
-	withKnobs(t)
 
-	fresh, err := FaultSweep(Quick)
+	fresh, err := FaultSweep(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ckpt := filepath.Join(t.TempDir(), "faults.ndjson")
-	SetCheckpoint(ckpt)
-	first, err := FaultSweep(Quick)
+	opts := RunOptions{Checkpoint: filepath.Join(t.TempDir(), "faults.ndjson")}
+	first, err := FaultSweep(Quick, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := FaultSweep(Quick) // every cell restored from the journal
+	resumed, err := FaultSweep(Quick, opts) // every cell restored from the journal
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +212,20 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestRunnerRaceSafety exercises the worker pool's panic recovery,
-// retry, and checkpoint paths concurrently; run with -race it proves the
-// new machinery is goroutine-safe.
+// retry, checkpoint and progress paths concurrently; run with -race it
+// proves the machinery is goroutine-safe and that the progress observer
+// sees every completion once, in order, never concurrently.
 func TestRunnerRaceSafety(t *testing.T) {
-	withKnobs(t)
-	SetRetry(2, time.Millisecond)
-	SetCheckpoint(filepath.Join(t.TempDir(), "race.ndjson"))
-	prev := SetJobs(8)
-	defer SetJobs(prev)
+	var seen []int // unsynchronized on purpose: -race flags concurrent calls
+	opts := RunOptions{
+		Jobs:       8,
+		Retries:    2,
+		Backoff:    time.Millisecond,
+		Checkpoint: filepath.Join(t.TempDir(), "race.ndjson"),
+		Progress: func(done, total int, _ string, _ time.Duration) {
+			seen = append(seen, done)
+		},
+	}
 
 	var flaky [32]atomic.Int64
 	cells := make([]Cell, len(flaky))
@@ -260,9 +238,17 @@ func TestRunnerRaceSafety(t *testing.T) {
 			return []string{fmt.Sprint(i)}, nil
 		})
 	}
-	results, err := runCells(cells)
+	results, err := RunCells(cells, opts)
 	if err != nil {
-		t.Fatalf("runCells: %v", err)
+		t.Fatalf("RunCells: %v", err)
+	}
+	for i, done := range seen {
+		if done != i+1 {
+			t.Fatalf("progress reported %v, want 1..%d in order", seen, len(cells))
+		}
+	}
+	if len(seen) != len(cells) {
+		t.Errorf("progress fired %d times for %d cells", len(seen), len(cells))
 	}
 	for i, r := range results {
 		if !reflect.DeepEqual(r.Value, any([]string{fmt.Sprint(i)})) {

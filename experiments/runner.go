@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybridvc"
@@ -49,7 +48,7 @@ type Cell struct {
 	Fn func() (any, error)
 
 	// DecodeValue, when set, reconstructs a checkpointed Value from its
-	// JSON encoding so checkpoint resume (SetCheckpoint) can restore
+	// JSON encoding so checkpoint resume (RunOptions.Checkpoint) can restore
 	// Extract/Fn results without re-running the cell. A cell whose
 	// checkpoint record carries a Value but has no decoder is re-run.
 	DecodeValue func(data []byte) (any, error)
@@ -61,107 +60,6 @@ type CellResult struct {
 	Report sim.Report
 	// Value is the Extract or Fn result.
 	Value any
-}
-
-// defaultJobs is the worker-pool width used by every experiment; it
-// defaults to GOMAXPROCS so full sweeps scale with the host. Results are
-// index-slotted, so tables are identical regardless of the value.
-var defaultJobs atomic.Int64
-
-func init() { defaultJobs.Store(int64(runtime.GOMAXPROCS(0))) }
-
-// SetJobs sets the worker count used by subsequent experiment runs.
-// Values below 1 reset to GOMAXPROCS. It returns the previous setting.
-func SetJobs(n int) int {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return int(defaultJobs.Swap(int64(n)))
-}
-
-// Jobs returns the current worker count.
-func Jobs() int { return int(defaultJobs.Load()) }
-
-// progressFn, when set, observes cell completions (done so far, total,
-// finished cell's label and elapsed time). Used by tablegen for live
-// sweep progress; nil by default.
-var progressMu sync.Mutex
-var progressFn func(done, total int, label string, elapsed time.Duration)
-
-// SetProgress installs a completion observer for subsequent runs (nil
-// disables). The callback may fire from multiple worker goroutines but
-// never concurrently.
-func SetProgress(fn func(done, total int, label string, elapsed time.Duration)) {
-	progressMu.Lock()
-	progressFn = fn
-	progressMu.Unlock()
-}
-
-// Resilience knobs (SetContext, SetRetry, SetCellTimeout, SetCheckpoint),
-// guarded by one mutex in the style of the progress observer. runCells
-// snapshots them once per sweep, so changing a knob mid-sweep affects
-// only subsequent runs.
-var knobMu sync.Mutex
-var runCtx context.Context
-var retryMax int
-var retryBackoff = 100 * time.Millisecond
-var cellTimeout time.Duration
-var checkpointPath string
-
-// SetContext installs a cancellation context for subsequent sweeps: when
-// it is cancelled, pending cells are not started, in-flight cells are
-// abandoned promptly, and runCells returns the partial results together
-// with the context's error. nil restores the default (never cancelled).
-// It returns the previous context.
-func SetContext(ctx context.Context) context.Context {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	prev := runCtx
-	runCtx = ctx
-	return prev
-}
-
-// SetRetry configures transient-failure handling for subsequent sweeps: a
-// cell whose failure is transient — a recovered panic, a cell timeout, or
-// any error wrapping ErrTransient — is re-run up to retries times, with a
-// linearly growing backoff pause between attempts (attempt n waits
-// n×backoff). retries <= 0 disables retrying; backoff <= 0 keeps the
-// previous backoff. It returns the previous settings.
-func SetRetry(retries int, backoff time.Duration) (int, time.Duration) {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	prevN, prevB := retryMax, retryBackoff
-	retryMax = retries
-	if backoff > 0 {
-		retryBackoff = backoff
-	}
-	return prevN, prevB
-}
-
-// SetCellTimeout bounds each cell attempt for subsequent sweeps: an
-// attempt that produces no result within d fails with a transient
-// timeout error (and is therefore retried when retries are configured).
-// d <= 0 disables the bound. It returns the previous setting.
-func SetCellTimeout(d time.Duration) time.Duration {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	prev := cellTimeout
-	cellTimeout = d
-	return prev
-}
-
-// SetCheckpoint directs subsequent sweeps to journal every completed cell
-// to the NDJSON file at path, and to resume from it: cells whose records
-// are already present (matched by index and label) are restored instead
-// of re-run, so an interrupted sweep continued with the same
-// configuration reaches the same final results. An empty path disables
-// checkpointing. It returns the previous setting.
-func SetCheckpoint(path string) string {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	prev := checkpointPath
-	checkpointPath = path
-	return prev
 }
 
 // ErrTransient marks failures worth retrying. Wrap cell errors with
@@ -189,94 +87,70 @@ func Transient(err error) error {
 // IsTransient reports whether err is worth retrying.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
-// snapshotKnobs captures the per-sweep resilience configuration.
-func snapshotKnobs() (ctx context.Context, timeout time.Duration, retries int, backoff time.Duration, ckpt string) {
-	knobMu.Lock()
-	defer knobMu.Unlock()
-	ctx = runCtx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return ctx, cellTimeout, retryMax, retryBackoff, checkpointPath
-}
-
-// RunOptions carries the per-sweep resilience configuration for RunCells
-// callers that cannot use the package-level knobs (long-running services
-// executing many independent sweeps concurrently: the globals are
-// process-wide, so two concurrent jobs would trample each other's
-// context). The zero value means: never cancelled, unbounded cells, no
-// retries, no checkpoint.
+// RunOptions carries everything a sweep is configured by: its worker
+// count, cancellation, per-cell bound, retries, checkpoint journal and
+// progress observer. Each sweep gets its own value, so independent
+// sweeps (tablegen runs, concurrent hvcd jobs) never share state. The
+// zero value means: GOMAXPROCS workers, never cancelled, unbounded
+// cells, no retries, no checkpoint, no progress.
 type RunOptions struct {
-	// Ctx cancels the sweep (nil = background).
+	// Jobs is the worker-pool width (<= 0 = GOMAXPROCS). Results are
+	// index-slotted, so tables are identical for any value.
+	Jobs int
+	// Ctx cancels the sweep (nil = background): pending cells are not
+	// started, in-flight cells are abandoned promptly, and RunCells
+	// returns the partial results together with the context's error.
 	Ctx context.Context
-	// CellTimeout bounds each cell attempt (<= 0 = unbounded).
+	// CellTimeout bounds each cell attempt (<= 0 = unbounded): an
+	// attempt that produces no result in time fails with a transient
+	// timeout error, so retries apply to it.
 	CellTimeout time.Duration
-	// Retries re-runs transiently failed cells up to this many times,
-	// with linear Backoff between attempts (Backoff <= 0 = 100ms).
+	// Retries re-runs a transiently failed cell — a recovered panic, a
+	// cell timeout, or any error wrapping ErrTransient — up to this many
+	// times, with a linearly growing pause between attempts (attempt n
+	// waits n×Backoff; Backoff <= 0 = 100ms).
 	Retries int
 	Backoff time.Duration
-	// Checkpoint journals completed cells to this NDJSON path and
-	// resumes from it ("" = disabled), exactly like SetCheckpoint.
+	// Checkpoint journals every completed cell to this NDJSON path and
+	// resumes from it ("" = disabled): cells whose records are already
+	// present (matched by index and label) are restored instead of
+	// re-run, so an interrupted sweep continued with the same
+	// configuration reaches the same final results.
 	Checkpoint string
+	// Progress, when set, observes cell completions (done so far, total,
+	// finished cell's label and elapsed time). It may be called from
+	// several worker goroutines, but never concurrently within a sweep.
+	Progress func(done, total int, label string, elapsed time.Duration)
 }
 
-// RunCellsWith executes the cells on a pool of Jobs() workers with
-// explicit per-call options and returns their results in input order —
-// the reentrant form of the sweep runner used by the service daemon,
-// where every job needs its own cancellation context and checkpoint
-// journal. Failure semantics match the package-level path: panics become
-// transient errors, failed slots keep a nil Value, and all failures are
-// joined into the returned error.
-func RunCellsWith(cells []Cell, opts RunOptions) ([]CellResult, error) {
-	if opts.Ctx == nil {
-		opts.Ctx = context.Background()
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 100 * time.Millisecond
-	}
-	return runCellsOpts(cells, opts)
-}
-
-// RunCells executes the cells under the package-level resilience knobs
-// (SetContext, SetRetry, SetCellTimeout, SetCheckpoint) — the same path
-// every built-in experiment sweeps through. Experiments registered
-// dynamically with Add should run their cells through this so tablegen
-// flags and the service daemon's per-sweep knob window apply to them
-// too.
-func RunCells(cells []Cell) ([]CellResult, error) { return runCells(cells) }
-
-// runCells is the package-level entry: it snapshots the Set* knobs into
-// options once per sweep, so changing a knob mid-sweep affects only
-// subsequent runs.
-func runCells(cells []Cell) ([]CellResult, error) {
-	ctx, timeout, retries, backoff, ckpt := snapshotKnobs()
-	return runCellsOpts(cells, RunOptions{
-		Ctx: ctx, CellTimeout: timeout, Retries: retries,
-		Backoff: backoff, Checkpoint: ckpt,
-	})
-}
-
-// runCellsOpts executes the cells on a pool of Jobs() workers and returns
-// their results in input order. A cell that fails — via returned error or
-// recovered panic — leaves its slot's Value nil; all failures are joined
-// into the returned error. Because results are index-slotted and cells
-// are isolated, the output is identical for any worker count, and a
-// checkpointed sweep resumed after an interruption reaches the same
-// final results as an uninterrupted one.
-func runCellsOpts(cells []Cell, opts RunOptions) ([]CellResult, error) {
+// RunCells executes the cells on a pool of opts.Jobs workers and returns
+// their results in input order. It is the one entry of the sweep runner:
+// every built-in experiment, tablegen and the service daemon go through
+// it. A cell that fails — via returned error or recovered panic — leaves
+// its slot's Value nil; all failures are joined into the returned error.
+// Because results are index-slotted and cells are isolated, the output
+// is identical for any worker count, and a checkpointed sweep resumed
+// after an interruption reaches the same final results as an
+// uninterrupted one.
+func RunCells(cells []Cell, opts RunOptions) ([]CellResult, error) {
 	results := make([]CellResult, len(cells))
 	cellErrs := make([]error, len(cells))
 	if len(cells) == 0 {
 		return results, nil
 	}
-	ctx, timeout, retries, backoff, ckptPath :=
-		opts.Ctx, opts.CellTimeout, opts.Retries, opts.Backoff, opts.Checkpoint
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if opts.Backoff <= 0 {
+		opts.Backoff = 100 * time.Millisecond
+	}
 
 	restored := make([]bool, len(cells))
 	var ckpt *checkpoint
-	if ckptPath != "" {
+	if opts.Checkpoint != "" {
 		var err error
-		ckpt, err = openCheckpoint(ckptPath, cells, results, restored)
+		ckpt, err = openCheckpoint(opts.Checkpoint, cells, results, restored)
 		if err != nil {
 			return results, err
 		}
@@ -289,13 +163,16 @@ func runCellsOpts(cells []Cell, opts RunOptions) ([]CellResult, error) {
 		}
 	}
 
-	jobs := Jobs()
+	jobs := opts.Jobs
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
 	if jobs > pending {
 		jobs = pending
 	}
 
-	done := atomic.Int64{}
-	done.Store(int64(len(cells) - pending))
+	done := len(cells) - pending
+	var doneMu sync.Mutex // guards done and serializes Progress
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < jobs; w++ {
@@ -309,16 +186,16 @@ func runCellsOpts(cells []Cell, opts RunOptions) ([]CellResult, error) {
 					continue
 				}
 				start := time.Now()
-				results[i], cellErrs[i] = runCellResilient(ctx, cells[i], timeout, retries, backoff)
+				results[i], cellErrs[i] = runCellResilient(ctx, cells[i], opts)
 				if cellErrs[i] == nil && ckpt != nil {
 					cellErrs[i] = ckpt.append(i, cells[i], results[i])
 				}
-				n := int(done.Add(1))
-				progressMu.Lock()
-				if progressFn != nil {
-					progressFn(n, len(cells), cells[i].Label, time.Since(start))
+				doneMu.Lock()
+				done++
+				if opts.Progress != nil {
+					opts.Progress(done, len(cells), cells[i].Label, time.Since(start))
 				}
-				progressMu.Unlock()
+				doneMu.Unlock()
 			}
 		}()
 	}
@@ -343,16 +220,16 @@ dispatch:
 
 // runCellResilient runs one cell, retrying transient failures with
 // linear backoff up to the configured attempt budget.
-func runCellResilient(ctx context.Context, c Cell, timeout time.Duration, retries int, backoff time.Duration) (CellResult, error) {
+func runCellResilient(ctx context.Context, c Cell, opts RunOptions) (CellResult, error) {
 	for attempt := 0; ; attempt++ {
-		res, err := runCellOnce(ctx, c, timeout)
-		if err == nil || attempt >= retries || !IsTransient(err) || ctx.Err() != nil {
+		res, err := runCellOnce(ctx, c, opts.CellTimeout)
+		if err == nil || attempt >= opts.Retries || !IsTransient(err) || ctx.Err() != nil {
 			return res, err
 		}
 		select {
 		case <-ctx.Done():
 			return res, err
-		case <-time.After(time.Duration(attempt+1) * backoff):
+		case <-time.After(time.Duration(attempt+1) * opts.Backoff):
 		}
 	}
 }

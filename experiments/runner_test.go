@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hybridvc"
@@ -20,8 +21,7 @@ func TestRunnerOrderingAndValues(t *testing.T) {
 			Fn:    func() (any, error) { return i * i, nil },
 		}
 	}
-	defer SetJobs(SetJobs(7))
-	res, err := runCells(cells)
+	res, err := RunCells(cells, RunOptions{Jobs: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRunnerPanicBecomesError(t *testing.T) {
 		{Label: "also-good", Fn: func() (any, error) { return 3, nil }},
 		{Label: "bad", Fn: func() (any, error) { return nil, errors.New("bad cell") }},
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, RunOptions{})
 	if err == nil {
 		t.Fatal("panicking cell produced no error")
 	}
@@ -60,27 +60,27 @@ func TestRunnerPanicBecomesError(t *testing.T) {
 }
 
 func TestRunnerSystemCellErrors(t *testing.T) {
-	_, err := runCells([]Cell{{
+	_, err := RunCells([]Cell{{
 		Label:        "bad-org",
 		Config:       hybridvc.Config{Org: "bogus"},
 		Workloads:    []string{"stream"},
 		Instructions: 100,
-	}})
+	}}, RunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "bad-org") {
 		t.Errorf("bad organization not reported: %v", err)
 	}
-	_, err = runCells([]Cell{{
+	_, err = RunCells([]Cell{{
 		Label:        "bad-workload",
 		Workloads:    []string{"no-such-workload"},
 		Instructions: 100,
-	}})
+	}}, RunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "bad-workload") {
 		t.Errorf("bad workload not reported: %v", err)
 	}
 }
 
 func TestRunnerExtract(t *testing.T) {
-	res, err := runCells([]Cell{{
+	res, err := RunCells([]Cell{{
 		Label:        "extract",
 		Config:       hybridvc.Config{Org: hybridvc.Baseline, LLCBytes: 256 << 10},
 		Workloads:    []string{"stream"},
@@ -88,7 +88,7 @@ func TestRunnerExtract(t *testing.T) {
 		Extract: func(sys *hybridvc.System, rep sim.Report) (any, error) {
 			return rep.Instructions, nil
 		},
-	}})
+	}}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +100,33 @@ func TestRunnerExtract(t *testing.T) {
 	}
 }
 
-func TestSetJobsClamps(t *testing.T) {
-	prev := SetJobs(3)
-	if Jobs() != 3 {
-		t.Errorf("Jobs() = %d, want 3", Jobs())
+// TestRunnerJobsWidth proves any worker count, including the
+// GOMAXPROCS default chosen by Jobs <= 0, runs every cell exactly once
+// and slots its result at its input index.
+func TestRunnerJobsWidth(t *testing.T) {
+	for _, jobs := range []int{-1, 0, 1, 3, 64} {
+		var runs atomic.Int64
+		cells := make([]Cell, 12)
+		for i := range cells {
+			i := i
+			cells[i] = Cell{Label: fmt.Sprintf("cell-%d", i), Fn: func() (any, error) {
+				runs.Add(1)
+				return i, nil
+			}}
+		}
+		res, err := RunCells(cells, RunOptions{Jobs: jobs})
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		if n := runs.Load(); n != int64(len(cells)) {
+			t.Errorf("jobs=%d: %d cell runs, want %d", jobs, n, len(cells))
+		}
+		for i, r := range res {
+			if r.Value.(int) != i {
+				t.Errorf("jobs=%d: slot %d holds %v", jobs, i, r.Value)
+			}
+		}
 	}
-	SetJobs(0) // resets to GOMAXPROCS
-	if Jobs() < 1 {
-		t.Errorf("Jobs() = %d after reset", Jobs())
-	}
-	SetJobs(prev)
 }
 
 // TestRunnerDeterminism asserts the acceptance criterion: the parallel
@@ -122,8 +139,7 @@ func TestRunnerDeterminism(t *testing.T) {
 	}
 	skipIfRace(t) // TestRunnerSmallDeterminism keeps -race coverage
 	render := func(jobs int) string {
-		defer SetJobs(SetJobs(jobs))
-		_, table, err := Figure9(Quick)
+		_, table, err := Figure9(Quick, RunOptions{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,8 +173,7 @@ func TestRunnerSmallDeterminism(t *testing.T) {
 		return cells
 	}
 	run := func(jobs int) []uint64 {
-		defer SetJobs(SetJobs(jobs))
-		res, err := runCells(grid())
+		res, err := RunCells(grid(), RunOptions{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +226,7 @@ func TestRegistryRunsQuickExperiment(t *testing.T) {
 	if !ok {
 		t.Fatal("latency experiment missing")
 	}
-	tables, err := e.Run(Quick)
+	tables, err := e.Run(Quick, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

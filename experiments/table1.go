@@ -33,7 +33,7 @@ var tableIWorkloads = []struct {
 
 // TableI reproduces Table I by instantiating each workload's processes
 // and sampling its access stream; one runner cell per workload.
-func TableI(scale Scale) ([]TableIRow, *stats.Table, error) {
+func TableI(scale Scale, opts RunOptions) ([]TableIRow, *stats.Table, error) {
 	n := scale.pick(100_000, 2_000_000)
 	var cells []Cell
 	for _, w := range tableIWorkloads {
@@ -62,7 +62,7 @@ func TableI(scale Scale) ([]TableIRow, *stats.Table, error) {
 			},
 		})
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

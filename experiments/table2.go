@@ -77,7 +77,7 @@ func tableIICell(name string, n uint64) (TableIIRow, error) {
 // filters translation requests; the proposed system uses a 64-entry
 // synonym TLB plus a 1024-entry delayed TLB (equal total TLB area to the
 // baseline's 64-entry L1 + 1024-entry L2). One runner cell per workload.
-func TableII(scale Scale) ([]TableIIRow, *stats.Table, error) {
+func TableII(scale Scale, opts RunOptions) ([]TableIIRow, *stats.Table, error) {
 	n := scale.pick(150_000, 3_000_000)
 	var cells []Cell
 	for _, name := range tableIIWorkloads {
@@ -87,7 +87,7 @@ func TableII(scale Scale) ([]TableIIRow, *stats.Table, error) {
 			Fn:    func() (any, error) { return tableIICell(name, n) },
 		})
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -28,7 +28,7 @@ var tableIIIWorkloads = []string{
 // eager allocation; RMM MPKI from replaying the access stream against a
 // 32-entry range TLB; utilization from full-run touch accounting. One
 // runner cell per workload.
-func TableIII(scale Scale) ([]TableIIIRow, *stats.Table, error) {
+func TableIII(scale Scale, opts RunOptions) ([]TableIIIRow, *stats.Table, error) {
 	n := scale.pick(120_000, 2_000_000)
 	var cells []Cell
 	for _, name := range tableIIIWorkloads {
@@ -62,7 +62,7 @@ func TableIII(scale Scale) ([]TableIIIRow, *stats.Table, error) {
 			},
 		})
 	}
-	res, err := runCells(cells)
+	res, err := RunCells(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

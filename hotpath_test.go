@@ -14,6 +14,7 @@ import (
 	"hybridvc/internal/addr"
 	"hybridvc/internal/cache"
 	"hybridvc/internal/core"
+	"hybridvc/internal/energy"
 	"hybridvc/internal/stats"
 	"hybridvc/internal/tlb"
 )
@@ -242,6 +243,37 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	} {
 		org := org
 		t.Run(string(org), func(t *testing.T) { testSteadyStateAllocs(t, org) })
+	}
+	// Walk-bound steady state: on a gups stream past warm-up most
+	// references miss the TLB, so every batch runs timed page walks —
+	// native 4-level walks on baseline, nested 2D walks on virt-2d —
+	// whose PTE-address paths live in reused walker buffers.
+	for _, org := range []hybridvc.Organization{hybridvc.Baseline, hybridvc.Virt2D} {
+		org := org
+		t.Run(string(org)+"/walk-bound", func(t *testing.T) { testWalkBoundAllocs(t, org) })
+	}
+}
+
+func testWalkBoundAllocs(t *testing.T, org hybridvc.Organization) {
+	const warm, batch, runs = 8192, 256, 20
+	sys := newHotpathSystem(t, org, "gups")
+	stream := collectRequests(sys, warm+(runs+1)*batch)
+	res := make([]core.Result, len(stream))
+	sys.Mem.AccessBatch(stream[:warm], res[:warm])
+
+	// AllocsPerRun calls the function runs+1 times; each call takes the
+	// next, not yet seen, batch of the stream.
+	next := warm
+	walksBefore := sys.Mem.Energy().Accesses[energy.PageWalk]
+	avg := testing.AllocsPerRun(runs, func() {
+		sys.Mem.AccessBatch(stream[next:next+batch], res[next:next+batch])
+		next += batch
+	})
+	if avg != 0 {
+		t.Errorf("walk-bound AccessBatch allocates %.2f times per call, want 0", avg)
+	}
+	if walks := sys.Mem.Energy().Accesses[energy.PageWalk] - walksBefore; walks < runs*batch/4 {
+		t.Errorf("only %d page walks over %d references: not walk-bound", walks, (runs+1)*batch)
 	}
 }
 

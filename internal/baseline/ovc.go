@@ -35,6 +35,9 @@ type OVC struct {
 	L1VirtualHits stats.Counter
 	// L1MissTranslations counts TLB lookups caused by L1 misses.
 	L1MissTranslations stats.Counter
+
+	// walkPath is timedWalk's reused PTE-address buffer.
+	walkPath []addr.PA
 }
 
 // NewOVC builds the OVC baseline; the hierarchy config must be single-core.
@@ -99,7 +102,8 @@ func (o *OVC) translate(req *core.Request) (addr.PA, addr.Perm, uint64, bool) {
 // bypass the L1).
 func (o *OVC) timedWalk(proc *osmodel.Process, va addr.VA) (core.WalkLeaf, uint64, bool) {
 	o.Acc.Access(energy.PageWalk, 1)
-	path, leaf, found := proc.PT.WalkPath(va)
+	path, leaf, found := proc.PT.WalkPath(o.walkPath[:0], va)
+	o.walkPath = path
 	var lat uint64
 	for _, slot := range path {
 		o.WalkSteps.Inc()

@@ -55,7 +55,9 @@ type AccessResult struct {
 	// Perm is the permission recorded on the accessed line.
 	Perm addr.Perm
 	// Writebacks lists dirty blocks evicted from the LLC to memory by this
-	// access; virtual names among them need delayed translation.
+	// access; virtual names among them need delayed translation. It
+	// aliases a hierarchy-owned buffer that the next Access overwrites:
+	// consume it first, or copy it to keep it.
 	Writebacks []addr.Name
 }
 
@@ -77,8 +79,8 @@ type Hierarchy struct {
 	// MemWritebacks counts dirty lines written back to memory.
 	MemWritebacks stats.Counter
 
-	// wbScratch backs AccessScratch results so the batched hot path does
-	// not allocate a Writebacks slice per reference.
+	// wbScratch backs Access results so the hot path does not allocate
+	// a Writebacks slice per reference.
 	wbScratch []addr.Name
 
 	// payloads maps metadata block names (Kind != PayloadData) resident
@@ -127,18 +129,12 @@ func (h *Hierarchy) LLC() *Cache { return h.llc }
 
 // Access performs one reference by core for the line named n with the given
 // permission to record on fills. It implements the full coherent access
-// path and returns the latency and miss outcome. Writebacks, when any, are
-// freshly allocated.
+// path and returns the latency and miss outcome. The result's Writebacks
+// alias a hierarchy-owned buffer, so steady-state accesses allocate
+// nothing: the caller must consume them before the next Access
+// (pipeline.Base.PhysAccess included).
 func (h *Hierarchy) Access(core int, kind AccessKind, n addr.Name, perm addr.Perm) AccessResult {
-	return h.access(core, kind, n, perm, nil)
-}
-
-// AccessScratch is Access with the Writebacks slice backed by a
-// hierarchy-owned buffer, so steady-state accesses allocate nothing. The
-// returned Writebacks alias that buffer: the caller must consume them
-// before the next AccessScratch call (pipeline.Base.PhysAccess included).
-func (h *Hierarchy) AccessScratch(core int, kind AccessKind, n addr.Name, perm addr.Perm) AccessResult {
-	res := h.access(core, kind, n, perm, h.wbScratch[:0])
+	res := h.access(core, kind, n, perm)
 	h.wbScratch = res.Writebacks
 	return res
 }
@@ -157,13 +153,13 @@ func (h *Hierarchy) TouchSets(core int, kind AccessKind, n addr.Name) uint64 {
 	return l1.TouchSet(n) + h.l2[core].TouchSet(n) + h.llc.TouchSet(n)
 }
 
-// access is the shared body; wb seeds res.Writebacks (nil to allocate).
-func (h *Hierarchy) access(core int, kind AccessKind, n addr.Name, perm addr.Perm, wb []addr.Name) AccessResult {
+// access is Access's body; it appends writebacks to the reused buffer.
+func (h *Hierarchy) access(core int, kind AccessKind, n addr.Name, perm addr.Perm) AccessResult {
 	l1 := h.l1d[core]
 	if kind == Fetch {
 		l1 = h.l1i[core]
 	}
-	res := AccessResult{Latency: l1.Config().HitLatency, Writebacks: wb}
+	res := AccessResult{Latency: l1.Config().HitLatency, Writebacks: h.wbScratch[:0]}
 
 	if l := l1.Access(n); l != nil {
 		res.HitLevel = 1

@@ -283,11 +283,14 @@ func (t *Tables) SetPerm(va addr.VA, perm addr.Perm) bool {
 	return true
 }
 
-// WalkPath returns the physical addresses of the table entries a hardware
-// walker reads for va (root to leaf, up to Levels entries), the decoded
-// leaf, and whether the walk reached a present leaf. A timed walker issues
-// one memory access per returned address.
-func (t *Tables) WalkPath(va addr.VA) (path []addr.PA, pte PTE, ok bool) {
+// WalkPath appends to dst the physical addresses of the table entries a
+// hardware walker reads for va (root to leaf, up to Levels entries) and
+// returns the extended slice, the decoded leaf, and whether the walk
+// reached a present leaf. A timed walker issues one memory access per
+// appended address; passing a reused buffer (dst[:0]) keeps the walk
+// allocation-free.
+func (t *Tables) WalkPath(dst []addr.PA, va addr.VA) (path []addr.PA, pte PTE, ok bool) {
+	path = dst
 	table := t.root
 	for level := Levels - 1; level >= 0; level-- {
 		slot := entryAddr(table, va, level)

@@ -135,12 +135,12 @@ func TestWalkPathLength(t *testing.T) {
 	tbl := newTables(t)
 	va := addr.VA(0x7f00_0000_0000)
 	// Unmapped: the walk stops at the first absent level (the root entry).
-	path, _, ok := tbl.WalkPath(va)
+	path, _, ok := tbl.WalkPath(nil, va)
 	if ok || len(path) != 1 {
 		t.Fatalf("unmapped walk: len=%d ok=%v", len(path), ok)
 	}
 	tbl.Map(va, addr.FrameToPA(9), addr.PermRW, false)
-	path, pte, ok := tbl.WalkPath(va)
+	path, pte, ok := tbl.WalkPath(nil, va)
 	if !ok || len(path) != Levels {
 		t.Fatalf("mapped walk: len=%d ok=%v", len(path), ok)
 	}
@@ -162,7 +162,7 @@ func TestWalkPathPartialDepth(t *testing.T) {
 	// Map one page; a nearby VA sharing upper levels but unmapped at the
 	// leaf must produce a 4-entry path ending not-ok.
 	tbl.Map(0x5000, addr.FrameToPA(3), addr.PermRW, false)
-	path, _, ok := tbl.WalkPath(0x6000)
+	path, _, ok := tbl.WalkPath(nil, 0x6000)
 	if ok || len(path) != Levels {
 		t.Fatalf("sibling walk: len=%d ok=%v", len(path), ok)
 	}

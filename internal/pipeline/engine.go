@@ -280,7 +280,7 @@ func (e *Engine) dispatch(req *Request, res *Result, d Decision) {
 		if e.cache != nil {
 			e.hres = e.cache.Virtual(req, d.Perm, res)
 		} else {
-			e.hres = e.Hier.AccessScratch(req.Core, req.Kind, addr.VirtName(req.Proc.ASID, req.VA), d.Perm)
+			e.hres = e.Hier.Access(req.Core, req.Kind, addr.VirtName(req.Proc.ASID, req.VA), d.Perm)
 			// Snapshot the writebacks: the backend may issue nested
 			// hierarchy accesses (walks) that reuse the scratch buffer
 			// backing hres.Writebacks.

@@ -99,6 +99,8 @@ type Base struct {
 	walkFaulter WalkFaulter
 	// WalkRetries counts transient walk failures that were retried.
 	WalkRetries stats.Counter
+	// walkPath is TimedWalk's reused PTE-address buffer.
+	walkPath []addr.PA
 
 	// batch is the engine whose AccessBatch is deferring dispatch, nil
 	// otherwise. Sync reaches the deferred lanes through it: the barrier
@@ -160,7 +162,7 @@ func (b *Base) SetWalkFaulter(f WalkFaulter) { b.walkFaulter = f }
 // hierarchy's scratch buffer, which the next access overwrites.
 func (b *Base) PhysAccess(core int, kind cache.AccessKind, pa addr.PA, perm addr.Perm) (uint64, cache.AccessResult) {
 	b.Sync()
-	res := b.Hier.AccessScratch(core, kind, addr.PhysName(pa), perm)
+	res := b.Hier.Access(core, kind, addr.PhysName(pa), perm)
 	lat := res.Latency
 	if res.LLCMiss {
 		lat += b.DRAM.Access(pa)
@@ -183,7 +185,8 @@ func (b *Base) TimedWalk(core int, proc *osmodel.Process, va addr.VA) (pte WalkL
 	b.Sync()
 	for attempt := 0; ; attempt++ {
 		b.Acc.Access(energy.PageWalk, 1)
-		path, leaf, found := proc.PT.WalkPath(va)
+		path, leaf, found := proc.PT.WalkPath(b.walkPath[:0], va)
+		b.walkPath = path
 		for _, slot := range path {
 			b.WalkSteps.Inc()
 			lat, _ := b.PhysAccess(core, cache.Read, slot, addr.PermRO)

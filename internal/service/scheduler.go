@@ -40,9 +40,9 @@ type Config struct {
 	RatePerSec float64
 	RateBurst  int
 
-	// Resilience knobs applied to every job, reusing the experiments
-	// runner machinery: per-cell timeout, transient retries with linear
-	// backoff.
+	// Resilience settings applied to every job through its
+	// experiments.RunOptions: per-cell timeout, transient retries with
+	// linear backoff.
 	CellTimeout  time.Duration
 	Retries      int
 	RetryBackoff time.Duration
@@ -245,13 +245,6 @@ type Server struct {
 	draining bool
 	nextID   atomic.Uint64
 	started  time.Time
-
-	// sweepMu serializes sweep jobs: the experiments package's
-	// resilience knobs are process-wide, so concurrent sweeps would
-	// trample each other's cancellation context and checkpoint journal.
-	// A sweep is internally parallel across its cells (experiments.Jobs()
-	// workers), so one at a time keeps the machine busy regardless.
-	sweepMu sync.Mutex
 
 	wg sync.WaitGroup
 }
@@ -875,8 +868,9 @@ func (s *Server) unbindKey(job *Job) {
 	s.mu.Unlock()
 }
 
-// runOptions assembles the per-job resilience options for the
-// experiments runner.
+// runOptions assembles the per-job options for the experiments runner.
+// Every job gets its own value, so concurrent jobs share no runner
+// state.
 func (s *Server) runOptions(job *Job) experiments.RunOptions {
 	return experiments.RunOptions{
 		Ctx:         job.ctx,
@@ -939,7 +933,7 @@ func (s *Server) runSim(job *Job) ([]byte, error) {
 			return rep.JSON(), nil
 		},
 	}
-	results, err := experiments.RunCellsWith([]experiments.Cell{cell}, s.runOptions(job))
+	results, err := experiments.RunCells([]experiments.Cell{cell}, s.runOptions(job))
 	if err != nil {
 		return nil, err
 	}
@@ -950,33 +944,22 @@ func (s *Server) runSim(job *Job) ([]byte, error) {
 	return []byte(text), nil
 }
 
-// runSweep executes a sweep job through the experiment registry with the
-// package-level resilience knobs pointed at this job for the duration
-// (serialized by sweepMu — see the field comment). The checkpoint
-// journal is content-addressed in the spool dir, so a sweep cancelled by
-// drain resumes its completed cells when the same spec is resubmitted.
+// runSweep executes a sweep job through the experiment registry with
+// this job's own run options. The checkpoint journal is content-addressed
+// in the spool dir (one <key>.ndjson per spec), so concurrent sweeps keep
+// separate journals and a sweep cancelled by drain resumes its completed
+// cells when the same spec is resubmitted.
 func (s *Server) runSweep(job *Job) ([]string, error) {
 	e, ok := experiments.Lookup(job.Spec.Experiment)
 	if !ok {
 		return nil, fmt.Errorf("unknown experiment %q", job.Spec.Experiment) // unreachable post-Normalize
 	}
 
-	ckpt := filepath.Join(s.cfg.SpoolDir, job.Key+".ndjson")
-	job.setCheckpoint(ckpt)
-
-	s.sweepMu.Lock()
-	prevCtx := experiments.SetContext(job.ctx)
-	prevCkpt := experiments.SetCheckpoint(ckpt)
-	prevTimeout := experiments.SetCellTimeout(s.cfg.CellTimeout)
-	prevRetries, prevBackoff := experiments.SetRetry(s.cfg.Retries, s.cfg.RetryBackoff)
+	opts := s.runOptions(job)
+	opts.Checkpoint = filepath.Join(s.cfg.SpoolDir, job.Key+".ndjson")
+	job.setCheckpoint(opts.Checkpoint)
 	s.met.sweeps.Add(1)
-	tables, err := e.Run(job.Spec.ExperimentScale())
-	experiments.SetContext(prevCtx)
-	experiments.SetCheckpoint(prevCkpt)
-	experiments.SetCellTimeout(prevTimeout)
-	experiments.SetRetry(prevRetries, prevBackoff)
-	s.sweepMu.Unlock()
-
+	tables, err := e.Run(job.Spec.ExperimentScale(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -985,7 +968,7 @@ func (s *Server) runSweep(job *Job) ([]string, error) {
 		rendered[i] = t.String()
 	}
 	// The sweep completed; its journal has served its purpose.
-	os.Remove(ckpt)
+	os.Remove(opts.Checkpoint)
 	job.setCheckpoint("")
 	return rendered, nil
 }

@@ -431,7 +431,7 @@ func sweepExpName() string {
 		err := experiments.Add(experiments.Experiment{
 			Name:        "svc-test-exp",
 			Description: "service drain/resume fixture",
-			Run: func(experiments.Scale) ([]*stats.Table, error) {
+			Run: func(_ experiments.Scale, opts experiments.RunOptions) ([]*stats.Table, error) {
 				cells := make([]experiments.Cell, len(sweepCellRuns))
 				for i := range cells {
 					cells[i] = experiments.Cell{
@@ -450,7 +450,7 @@ func sweepExpName() string {
 						},
 					}
 				}
-				res, err := experiments.RunCells(cells)
+				res, err := experiments.RunCells(cells, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -545,6 +545,199 @@ func TestSweepDrainCheckpointResume(t *testing.T) {
 	}
 	if _, err := os.Stat(journal); !os.IsNotExist(err) {
 		t.Errorf("journal not removed after successful resume: %v", err)
+	}
+}
+
+// The concurrent-sweep test registers two synthetic experiments. Each
+// runs pairCells cells; the last one is gated by the installed
+// pairBarrier (none installed = ungated, the solo-run mode).
+const pairCells = 4
+
+var (
+	registerPairExps sync.Once
+	pairGate         atomic.Pointer[pairBarrier]
+)
+
+// pairBarrier holds both sweeps' gated cells until each sweep has
+// reached its own: a sweep can finish only while the other one is in
+// flight too. release lets the test inspect the journals first.
+type pairBarrier struct {
+	arrived map[string]chan struct{} // closed when that sweep's gated cell starts
+	release chan struct{}
+}
+
+func newPairBarrier(names ...string) *pairBarrier {
+	b := &pairBarrier{arrived: map[string]chan struct{}{}, release: make(chan struct{})}
+	for _, n := range names {
+		b.arrived[n] = make(chan struct{})
+	}
+	return b
+}
+
+// wait is the gated cell of sweep name: it announces itself, then waits
+// for every other sweep to arrive and for the test's release.
+func (b *pairBarrier) wait(name string) error {
+	close(b.arrived[name])
+	timeout := time.After(20 * time.Second)
+	for other, ch := range b.arrived {
+		select {
+		case <-ch:
+		case <-timeout:
+			return fmt.Errorf("sweep %s never in flight alongside %s", other, name)
+		}
+	}
+	select {
+	case <-b.release:
+		return nil
+	case <-timeout:
+		return fmt.Errorf("%s: barrier never released", name)
+	}
+}
+
+func pairExpNames() [2]string {
+	names := [2]string{"svc-pair-a", "svc-pair-b"}
+	registerPairExps.Do(func() {
+		for _, name := range names {
+			name := name
+			err := experiments.Add(experiments.Experiment{
+				Name:        name,
+				Description: "service concurrent-sweep fixture",
+				Run: func(_ experiments.Scale, opts experiments.RunOptions) ([]*stats.Table, error) {
+					cells := make([]experiments.Cell, pairCells)
+					for i := range cells {
+						cells[i] = experiments.Cell{
+							Label: fmt.Sprintf("%s/cell%d", name, i),
+							Fn: func() (any, error) {
+								if b := pairGate.Load(); b != nil && i == pairCells-1 {
+									if err := b.wait(name); err != nil {
+										return nil, err
+									}
+								}
+								return fmt.Sprintf("%s-v%d", name, i), nil
+							},
+							DecodeValue: func(b []byte) (any, error) {
+								var s string
+								err := json.Unmarshal(b, &s)
+								return s, err
+							},
+						}
+					}
+					res, err := experiments.RunCells(cells, opts)
+					if err != nil {
+						return nil, err
+					}
+					tbl := stats.NewTable(name, "cell", "value")
+					for i, r := range res {
+						tbl.AddRow(fmt.Sprintf("cell%d", i), fmt.Sprint(r.Value))
+					}
+					return []*stats.Table{tbl}, nil
+				},
+			})
+			if err != nil {
+				panic(err)
+			}
+		}
+	})
+	return names
+}
+
+// TestConcurrentSweeps proves the daemon runs two sweeps at once: each
+// sweep's last cell waits until the other sweep is in flight, so
+// serialized sweeps would time out. While both are held, each keeps its
+// own content-addressed journal holding only its own cells; once
+// released, both finish with the tables of a solo run.
+func TestConcurrentSweeps(t *testing.T) {
+	names := pairExpNames()
+	solo := map[string]string{}
+	for _, name := range names {
+		e, _ := experiments.Lookup(name)
+		tables, err := e.Run(experiments.Quick, experiments.RunOptions{})
+		if err != nil {
+			t.Fatalf("solo %s: %v", name, err)
+		}
+		solo[name] = tables[0].String()
+	}
+
+	b := newPairBarrier(names[:]...)
+	pairGate.Store(b)
+	t.Cleanup(func() { pairGate.Store(nil) })
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(b.release)
+		}
+	}
+	t.Cleanup(release) // unblock the gated cells if the test fails early
+
+	spool := t.TempDir()
+	_, c := startServer(t, service.Config{Workers: 2, SpoolDir: spool})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ids := map[string]string{}
+	journals := map[string]string{}
+	for _, name := range names {
+		resp, err := c.Submit(ctx, service.JobSpec{Kind: service.KindSweep, Experiment: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[name] = resp.ID
+		journals[name] = filepath.Join(spool, resp.Key+".ndjson")
+	}
+	if journals[names[0]] == journals[names[1]] {
+		t.Fatalf("both sweeps share journal %s", journals[names[0]])
+	}
+
+	// Both sweeps must be in flight together: each gated cell has
+	// started and each journal holds the sweep's ungated cells.
+	for _, name := range names {
+		select {
+		case <-b.arrived[name]:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("sweep %s never started while the other was in flight", name)
+		}
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for _, name := range names {
+		for {
+			data, err := os.ReadFile(journals[name])
+			if err == nil && strings.Count(string(data), "\n") >= pairCells-1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("journal of %s never reached %d records", name, pairCells-1)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(journals[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			var rec struct{ Label string }
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("journal of %s: %v", name, err)
+			}
+			if !strings.HasPrefix(rec.Label, name+"/") {
+				t.Errorf("journal of %s holds foreign cell %q", name, rec.Label)
+			}
+		}
+	}
+
+	release()
+	for _, name := range names {
+		st, err := c.Watch(ctx, ids[name], 5*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != service.StateDone {
+			t.Fatalf("sweep %s finished %s (%s)", name, st.State, st.Error)
+		}
+		if len(st.Tables) != 1 || st.Tables[0] != solo[name] {
+			t.Errorf("sweep %s tables %q, want the solo run's %q", name, st.Tables, solo[name])
+		}
 	}
 }
 

@@ -265,7 +265,9 @@ func (hv *Hypervisor) BreakContentShare(vm *VM, gpa uint64) error {
 type Walk2DResult struct {
 	// Path lists every machine address read: up to 4 host-walk reads per
 	// guest level plus the guest PTE itself, plus the final host walk of
-	// the data gPA — 24 reads for a full walk.
+	// the data gPA — 24 reads for a full walk. It aliases the walker's
+	// buffer and is valid only until the walker's next Walk; copy it to
+	// keep it longer.
 	Path []addr.PA
 	// GuestPTE is the guest leaf (gVA -> gPA).
 	GuestPTE pagetable.PTE
@@ -291,6 +293,10 @@ type Walker2D struct {
 	Walks stats.Counter
 	// Accesses counts total memory reads issued by walks.
 	Accesses stats.Counter
+
+	// path and guest are Walk's reused machine-address and guest-PTE
+	// address buffers.
+	path, guest []addr.PA
 }
 
 // NewWalker2D creates a 2D walker; withNestedTLB adds a 64-entry nested TLB.
@@ -311,8 +317,7 @@ func (w *Walker2D) hostPath(gpa addr.GPA, path []addr.PA) ([]addr.PA, addr.PA, b
 			return path, addr.FrameToPA(e.PFN) + addr.PA(uint64(gpa)&(addr.PageSize-1)), e.Shared, true
 		}
 	}
-	hostWalk, pte, ok := w.VM.HostPT.WalkPath(addr.VA(gpa))
-	path = append(path, hostWalk...)
+	path, pte, ok := w.VM.HostPT.WalkPath(path, addr.VA(gpa))
 	if !ok {
 		return path, 0, false, false
 	}
@@ -327,11 +332,21 @@ func (w *Walker2D) hostPath(gpa addr.GPA, path []addr.PA) ([]addr.PA, addr.PA, b
 
 // Walk translates (asid, gva) through the guest tables of process p and
 // the host tables, recording every memory access a hardware 2D walker
-// would issue.
+// would issue. The result's Path reuses the walker's buffer (see
+// Walk2DResult.Path), so steady-state walks allocate nothing.
 func (w *Walker2D) Walk(p *osmodel.Process, gva addr.VA) Walk2DResult {
 	w.Walks.Inc()
-	var res Walk2DResult
-	guestPath, guestPTE, ok := p.PT.WalkPath(gva)
+	res := Walk2DResult{Path: w.path[:0]}
+	w.walk(p, gva, &res)
+	w.path = res.Path
+	w.Accesses.Add(uint64(len(res.Path)))
+	return res
+}
+
+// walk fills res for Walk, stopping at the first unmapped level.
+func (w *Walker2D) walk(p *osmodel.Process, gva addr.VA, res *Walk2DResult) {
+	guestPath, guestPTE, ok := p.PT.WalkPath(w.guest[:0], gva)
+	w.guest = guestPath
 	// Each guest-table read is at a gPA that itself needs host translation.
 	for _, gSlot := range guestPath {
 		before := len(res.Path)
@@ -342,14 +357,12 @@ func (w *Walker2D) Walk(p *osmodel.Process, gva addr.VA) Walk2DResult {
 			res.NestedTLBHits++
 		}
 		if !hok {
-			w.Accesses.Add(uint64(len(res.Path)))
-			return res
+			return
 		}
 		res.Path = append(res.Path, ma) // the guest PTE read itself
 	}
 	if !ok {
-		w.Accesses.Add(uint64(len(res.Path)))
-		return res
+		return
 	}
 	res.GuestPTE = guestPTE
 	if guestPTE.Huge {
@@ -367,12 +380,9 @@ func (w *Walker2D) Walk(p *osmodel.Process, gva addr.VA) Walk2DResult {
 		res.NestedTLBHits++
 	}
 	if !hok {
-		w.Accesses.Add(uint64(len(res.Path)))
-		return res
+		return
 	}
 	res.MA = ma
 	res.HostShared = hostShared
 	res.OK = true
-	w.Accesses.Add(uint64(len(res.Path)))
-	return res
 }
